@@ -2,8 +2,7 @@
 
 .PHONY: test race bench bench-smoke reproduce ablations chaos chaos-nic chaos-fabric chaos-restart overload audit drain metrics corescale examples verify record
 
-# test is the everyday gate; `make verify` is the full pre-merge chain
-# (build + vet + race tests + the chaos-NIC self-healing smoke).
+# test is the everyday gate: vet plus the race-enabled test suite.
 test:
 	go vet ./...
 	go test -race ./...
@@ -14,9 +13,7 @@ race:
 bench:
 	go test -bench=. -benchmem ./...
 
-# bench-smoke is the single CI gate: vet, race-enabled short tests, and
-# the short-mode benchmarks (including the connection-scaling poller
-# study) each running exactly once.
+# bench-smoke: vet, race-enabled short tests, each benchmark once.
 bench-smoke:
 	go vet ./...
 	go test -race -short ./...
@@ -28,68 +25,35 @@ reproduce:
 ablations:
 	go run ./cmd/reproduce -ablations
 
-# chaos runs every workload under randomized fault plans and the
-# node-crash scenario, failing if any run does not recover or leaves a
-# resource-audit finding behind.
+# chaos, chaos-nic, chaos-fabric, chaos-restart, audit: the robustness suites; any unexpected row fails.
 chaos:
 	go run ./cmd/reproduce -chaos
 
-# chaos-nic runs the NIC-fault self-healing matrix: web and kvstore
-# over reconnecting sessions while seeded plans drop doorbells, stall
-# DMA, flip descriptors, lose credit updates, wedge firmware, and flap
-# the server's substrate link — plus a no-recovery control that must
-# fail. Any unexpected outcome fails the target.
 chaos-nic:
 	go run ./cmd/reproduce -chaos-nic
 
-# chaos-fabric runs the fabric single-failure survivability matrix:
-# web and kvstore over sessions on a 2-leaf/2-spine fabric while every
-# single trunk link and every single spine is killed in turn — each run
-# must finish with exact output, zero app-visible errors, at least one
-# recorded reroute, and a clean leak audit — plus a no-reroute control
-# that must fail. Any unexpected outcome fails the target.
 chaos-fabric:
 	go run ./cmd/reproduce -chaos-fabric
 
-# chaos-restart runs the crash-restart recovery matrix: web and
-# replicated kvstore over sessions while every host — server, backup,
-# and each client — is crash-restarted in turn with seed-phased kill
-# instants. Every run must finish with exact output, zero app-visible
-# errors, at least one session resumed against the reborn incarnation
-# when a server-side host is the target, and a clean leak audit — plus
-# a sessions-disabled control that must fail with a connection reset.
 chaos-restart:
 	go run ./cmd/reproduce -chaos-restart
 
-# overload runs the flood/starvation resilience suite under the race
-# detector: connect floods beyond the backlog, credit/buffer starvation
-# with deadlines, and the bounded-pool edge races.
-overload:
-	go test -race -run 'Overload|Deadline|Budget|UQByte|Refus|Starv' ./...
-
-# audit runs every workload, a connect flood, and the teardown matrix,
-# then the host-wide descriptor-leak auditor; any finding fails the
-# target.
 audit:
 	go run ./cmd/reproduce -audit
 
-# metrics prints the hot-path latency decomposition (per-stage span
-# histograms for the eager, rendezvous, and TCP paths) and writes the
-# machine-readable snapshot to BENCH_metrics.json; the telescoping
-# stage-sum check fails the target on any mismatch.
+# overload: connect floods, credit/buffer starvation and pool edge races, under -race.
+overload:
+	go test -race -run 'Overload|Deadline|Budget|UQByte|Refus|Starv' ./...
+
+# metrics: hot-path latency decomposition into BENCH_metrics.json; fails on a stage-sum mismatch.
 metrics:
 	go run ./cmd/reproduce -metrics
 
-# corescale runs the SMP core-scaling study: web and kvstore worker
-# pools swept over 1/2/4/8 workers on 1/2/4/8-core hosts, both
-# transports, writing BENCH_corescale.json; the monotonicity and
-# 4-core/4-worker >= 2x web gates fail the target.
+# corescale: SMP worker-pool sweep into BENCH_corescale.json; fails on its scaling gates.
 corescale:
 	go run ./cmd/reproduce -corescale
 
-# drain runs the graceful-teardown suite under the race detector:
-# half-close, lingering close, dial deadlines, double-close, and the
-# host-wide quiesce scenarios.
+# drain: half-close, linger, dial deadlines, double-close and host quiesce, under -race.
 drain:
 	go test -race -run 'Teardown|HalfClose|Linger|Drain|DoubleClose|DialDeadline' ./...
 
@@ -101,26 +65,14 @@ examples:
 	go run ./examples/matmul
 	go run ./examples/kvstore
 
-# verify is the full pre-merge chain: build, vet, the race-enabled test
-# suite, the connscale demux regression gate (1024-conn all-active
-# per-dispatch lookup cost must stay within a pinned multiple of the
-# 8-conn cost in hashed mode), the chaos-NIC self-healing smoke (the
-# quick matrix: every NIC fault kind on both workloads plus the
-# no-recovery control), the chaos-fabric smoke (single trunk kill +
-# single spine kill on both workloads plus the no-reroute control),
-# the chaos-restart smoke (server and one client of each workload
-# crash-restarted plus the sessions-disabled control), and the quick
-# core-scaling gate (worker monotonicity plus the 4-core/4-worker
-# >= 2x web bar on both transports).
+# verify is the pre-merge chain: build, vet, race tests, the scaling gates, every suite's quick leg.
 verify:
 	go build ./...
 	go vet ./...
 	go test -race ./...
 	go test -run TestConnScaleDispatchGate -count=1 ./internal/bench
 	go test -run TestCoreScaleGate -count=1 ./internal/bench
-	go run ./cmd/reproduce -chaos-nic -quick
-	go run ./cmd/reproduce -chaos-fabric -quick
-	go run ./cmd/reproduce -chaos-restart -quick
+	for s in chaos chaos-nic chaos-fabric chaos-restart audit; do go run ./cmd/reproduce -$$s -quick || exit 1; done
 
 # record regenerates the committed experiment record artifacts.
 record:

@@ -29,7 +29,7 @@ func main() {
 	chaosNIC := flag.Bool("chaos-nic", false, "run the NIC-fault self-healing matrix instead")
 	chaosFabric := flag.Bool("chaos-fabric", false, "run the fabric single-failure survivability matrix instead")
 	chaosRestart := flag.Bool("chaos-restart", false, "run the crash-restart recovery matrix instead")
-	chaosSeeds := flag.Int("chaos-seeds", 5, "randomized fault plans per chaos workload")
+	chaosSeeds := flag.Int("chaos-seeds", 5, "seeds per chaos row (-quick runs seed 1 only)")
 	auditFlag := flag.Bool("audit", false, "run the descriptor-leak audit sweep instead")
 	metrics := flag.Bool("metrics", false, "run the hot-path latency decomposition instead")
 	metricsOut := flag.String("metrics-out", "BENCH_metrics.json", "machine-readable output for -metrics")
@@ -212,65 +212,16 @@ func main() {
 		return
 	}
 
-	if *chaos {
-		runs := bench.Chaos(*chaosSeeds, *quick)
-		bench.FprintChaos(os.Stdout, runs)
-		for _, r := range runs {
-			if !r.OK {
-				os.Exit(1)
-			}
-		}
-		return
+	suiteFlags := map[string]*bool{
+		"chaos": chaos, "chaos-nic": chaosNIC, "chaos-fabric": chaosFabric,
+		"chaos-restart": chaosRestart, "audit": auditFlag,
 	}
-
-	if *chaosNIC {
-		seeds := *chaosSeeds
-		if *quick {
-			seeds = 1
+	for _, name := range bench.SuiteNames {
+		if !*suiteFlags[name] {
+			continue
 		}
-		runs := bench.ChaosNIC(seeds, *quick)
-		bench.FprintChaosNIC(os.Stdout, runs)
-		for _, r := range runs {
-			if !r.OK {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *chaosFabric {
-		seeds := *chaosSeeds
-		if *quick {
-			seeds = 1
-		}
-		runs := bench.ChaosFabric(seeds, *quick)
-		bench.FprintChaosFabric(os.Stdout, runs)
-		for _, r := range runs {
-			if !r.OK {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *chaosRestart {
-		seeds := *chaosSeeds
-		if *quick {
-			seeds = 1
-		}
-		runs := bench.ChaosRestart(seeds, *quick)
-		bench.FprintChaosRestart(os.Stdout, runs)
-		for _, r := range runs {
-			if !r.OK {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *auditFlag {
-		runs := bench.AuditSweep(*quick)
-		bench.FprintAudit(os.Stdout, runs)
+		runs := bench.Suite(name, *chaosSeeds, *quick)
+		bench.FprintSuite(os.Stdout, name, runs)
 		for _, r := range runs {
 			if !r.OK {
 				os.Exit(1)

@@ -353,6 +353,10 @@ func kvClient(p *sim.Proc, cfg KVConfig, dial dialFn, id int, lat *telemetry.His
 	}
 	defer c.Close(p)
 	setNoDelay(c)
+	// written holds the keys this client has SET: a GET miss on one of
+	// them is a lost write, a miss on any other key is just cold.
+	written := make(map[string]bool)
+	last := ""
 	for i := 0; i < cfg.OpsPerClient; i++ {
 		key := fmt.Sprintf("key-%d", (id*31+i)%cfg.Keys)
 		req := &kvRequest{Op: kvGet, Key: key}
@@ -388,8 +392,10 @@ func kvClient(p *sim.Proc, cfg KVConfig, dial dialFn, id int, lat *telemetry.His
 				return err
 			}
 		}
-		if req.Op == kvGet && !resp.OK && i >= cfg.Keys {
-			return fmt.Errorf("kv: get miss on a primed key %q", key)
+		if req.Op == kvSet {
+			written[key], last = true, key
+		} else if !resp.OK && written[key] {
+			return fmt.Errorf("kv: get miss on key %q this client set", key)
 		}
 		lat.ObserveDuration(p.Now().Sub(start))
 		if cfg.Think > 0 {
@@ -397,23 +403,16 @@ func kvClient(p *sim.Proc, cfg KVConfig, dial dialFn, id int, lat *telemetry.His
 		}
 	}
 	if cfg.ReadYourWrites {
-		return kvReadYourWrites(p, cfg, c, id)
+		return kvReadYourWrites(p, cfg, c, last)
 	}
 	return nil
 }
 
-// kvReadYourWrites re-reads the last key the client wrote: the
+// kvReadYourWrites re-reads key, the last key the client wrote: the
 // acknowledged value must have survived whatever crash–restart the run
 // scheduled. The probe rides the same connection after the measured
 // mix, outside the latency histogram.
-func kvReadYourWrites(p *sim.Proc, cfg KVConfig, c sock.Conn, id int) error {
-	last := 0
-	for i := 0; i < cfg.OpsPerClient; i++ {
-		if i < 1 || (cfg.SetEveryN > 0 && i%cfg.SetEveryN == 0) {
-			last = i
-		}
-	}
-	key := fmt.Sprintf("key-%d", (id*31+last)%cfg.Keys)
+func kvReadYourWrites(p *sim.Proc, cfg KVConfig, c sock.Conn, key string) error {
 	if err := kvSendRequest(p, c, &kvRequest{Op: kvGet, Key: key}); err != nil {
 		return err
 	}

@@ -12,16 +12,22 @@ func TestKVStoreCompletesOverBothTransports(t *testing.T) {
 			continue
 		}
 		t.Run(name, func(t *testing.T) {
-			c := build(4)
-			res := RunKVStore(c, DefaultKVConfig(1024))
-			if res.Err != nil {
-				t.Fatalf("kv over %s: %v", name, res.Err)
-			}
-			if res.Ops != 150 {
-				t.Fatalf("ops = %d, want 150", res.Ops)
-			}
-			if res.AvgLatency <= 0 || res.P99Latency < res.AvgLatency {
-				t.Fatalf("latency stats broken: avg=%v p99=%v", res.AvgLatency, res.P99Latency)
+			// The second mix runs past the key space, so clients revisit
+			// keys: GETs of keys other clients wrote must not count as
+			// lost writes.
+			long := DefaultKVConfig(1024)
+			long.OpsPerClient = long.Keys + 2
+			for _, cfg := range []KVConfig{DefaultKVConfig(1024), long} {
+				res := RunKVStore(build(4), cfg)
+				if res.Err != nil {
+					t.Fatalf("kv over %s, %d ops/client: %v", name, cfg.OpsPerClient, res.Err)
+				}
+				if want := cfg.Clients * cfg.OpsPerClient; res.Ops != want {
+					t.Fatalf("ops = %d, want %d", res.Ops, want)
+				}
+				if res.AvgLatency <= 0 || res.P99Latency < res.AvgLatency {
+					t.Fatalf("latency stats broken: avg=%v p99=%v", res.AvgLatency, res.P99Latency)
+				}
 			}
 		})
 	}

@@ -110,7 +110,12 @@ func TestMetricsDecomposition(t *testing.T) {
 // flight-recorder dump for the reset connection — the artifact the
 // chaos report prints for post-mortems.
 func TestChaosFlightDump(t *testing.T) {
-	r := chaosCrash(1)
+	var r Result
+	for _, s := range chaosRows(1, true) {
+		if s.Workload == "crash" {
+			r = runScenario(s)
+		}
+	}
 	if !r.OK {
 		t.Fatalf("crash scenario failed: %s", r.Detail)
 	}
