@@ -65,10 +65,11 @@ examples:
 	go run ./examples/matmul
 	go run ./examples/kvstore
 
-# verify is the pre-merge chain: build, vet, race tests, the scaling gates, every suite's quick leg.
+# verify is the pre-merge chain: build, vet, gofmt, race tests, the scaling gates, every suite's quick leg.
 verify:
 	go build ./...
 	go vet ./...
+	test -z "$$(gofmt -l .)"
 	go test -race ./...
 	go test -run TestConnScaleDispatchGate -count=1 ./internal/bench
 	go test -run TestCoreScaleGate -count=1 ./internal/bench

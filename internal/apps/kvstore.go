@@ -64,21 +64,11 @@ type KVConfig struct {
 	Keys int
 	// Port is the server's listen port.
 	Port int
-	// EventLoop serves every connection from one process multiplexed
-	// by a readiness poller instead of one handler process per
-	// connection. Off by default so the measured workload is unchanged.
-	EventLoop bool
-	// Drain makes the server gracefully quiesce its host transport
-	// after the last client disconnects. Off by default so the measured
-	// workload is unchanged.
-	Drain bool
-	// DrainTimeout bounds the quiesce; zero uses a 50 ms default.
-	DrainTimeout sim.Duration
 	// Sessions runs every connection through the self-healing session
 	// layer: transports that die mid-operation are redialed (failing
 	// over from the substrate to kernel TCP on Failover clusters) and
 	// the byte stream resumes where the peer left off. Incompatible
-	// with EventLoop (sessions are not pollable). Off by default.
+	// with Workers (sessions are not pollable). Off by default.
 	Sessions bool
 	// Think pauses each client for this long after every completed
 	// operation. Zero (the default) keeps the measured workload
@@ -98,9 +88,8 @@ type KVConfig struct {
 	ReadYourWrites bool
 	// Workers > 0 serves with a pool of that many event-loop worker
 	// processes sharing one poller (exclusive per-event delivery),
-	// worker i pinned to host core i%Cores. Zero keeps the legacy
-	// single-process servers byte-for-byte unchanged. Incompatible with
-	// Sessions, like EventLoop.
+	// worker i pinned to host core i%Cores. Zero keeps the
+	// handler-per-connection server byte-for-byte unchanged.
 	Workers int
 	// ServiceTime is per-operation compute charged through the host's
 	// core scheduler by the worker pool (hashing, serialization). Zero
@@ -137,22 +126,14 @@ func (r KVResult) OpsPerSec() float64 {
 	return float64(r.Ops) / r.Elapsed.Seconds()
 }
 
-// kvServer serves totalConns persistent connections, each handled by
-// its own process, until every client disconnects.
+// kvServer serves totalConns persistent connections until every
+// client disconnects: one handler process per connection, or the worker
+// pool when cfg.Workers > 0.
 func kvServer(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns int, listen listenFn) error {
-	var err error
-	switch {
-	case cfg.Workers > 0:
-		err = kvServerWorkers(p, node, cfg, totalConns)
-	case cfg.EventLoop:
-		err = kvServerEvented(p, node, cfg, totalConns)
-	default:
-		err = kvServerForked(p, node, cfg, totalConns, listen)
+	if cfg.Workers > 0 {
+		return kvServerWorkers(p, node, cfg, totalConns)
 	}
-	if err == nil && cfg.Drain {
-		err = drainNode(p, node, cfg.DrainTimeout)
-	}
-	return err
+	return kvServerForked(p, node, cfg, totalConns, listen)
 }
 
 // kvServerForked is the handler-process-per-connection server.
@@ -175,41 +156,13 @@ func kvServerForked(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns in
 			defer wg.Done()
 			defer c.Close(hp)
 			for {
-				// Request: header + key (+ value for SET).
-				n, objs, err := sock.ReadFull(hp, c, kvHeaderBytes)
-				if err != nil || n < kvHeaderBytes || len(objs) == 0 {
-					return // client closed
+				req, err := kvRecvRequest(hp, c)
+				if err != nil {
+					return // client closed, or malformed framing
 				}
-				req, ok := objs[0].(*kvRequest)
-				if !ok {
+				resp := kvApply(store, req)
+				if resp == nil || kvSendResponse(hp, c, resp) != nil {
 					return
-				}
-				body := len(req.Key)
-				if req.Op == kvSet {
-					body += req.ValLen
-				}
-				if body > 0 {
-					if _, _, err := sock.ReadFull(hp, c, body); err != nil {
-						return
-					}
-				}
-				resp := &kvResponse{}
-				switch req.Op {
-				case kvSet:
-					store[req.Key] = &kvResponse{OK: true, ValLen: req.ValLen, Val: req.Val}
-					resp.OK = true
-				case kvGet:
-					if v, ok := store[req.Key]; ok {
-						resp = v
-					}
-				}
-				if _, err := c.Write(hp, kvHeaderBytes, resp); err != nil {
-					return
-				}
-				if resp.ValLen > 0 {
-					if _, err := c.Write(hp, resp.ValLen, nil); err != nil {
-						return
-					}
 				}
 			}
 		})
@@ -218,131 +171,109 @@ func kvServerForked(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns in
 	return nil
 }
 
-// kvConnState is one connection's framing state machine in the evented
-// server: phase 0 accumulates the request header (whose final byte
-// carries the kvRequest object), phase 1 accumulates the body.
-type kvConnState struct {
-	c         sock.Conn
-	phase     int // 0 = header, 1 = body
-	remaining int
-	req       *kvRequest
+// kvApply runs one GET or SET against the table and returns the
+// response to send, or nil for any other op. A GET hit answers with the
+// stored entry itself, a miss with a bare not-OK header.
+func kvApply(store map[string]*kvResponse, req *kvRequest) *kvResponse {
+	switch req.Op {
+	case kvSet:
+		store[req.Key] = &kvResponse{OK: true, ValLen: req.ValLen, Val: req.Val}
+		return &kvResponse{OK: true}
+	case kvGet:
+		if v, ok := store[req.Key]; ok {
+			return v
+		}
+		return &kvResponse{}
+	}
+	return nil
 }
 
-// kvServerEvented multiplexes every persistent connection through one
-// edge-triggered poller on a single process. Requests may arrive split
-// across segments, so each connection carries an explicit header/body
-// state machine instead of the blocking ReadFull the per-connection
-// handlers use.
-func kvServerEvented(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns int) error {
-	l, err := node.Net.Listen(p, cfg.Port, totalConns)
-	if err != nil {
+// bodyLen is the byte count that follows the request header: the key,
+// plus the value for ops that carry one.
+func (r *kvRequest) bodyLen() int {
+	if r.Op == kvSet || r.Op == kvSyncEnt {
+		return len(r.Key) + r.ValLen
+	}
+	return len(r.Key)
+}
+
+// kvSendRequest writes one framed request.
+func kvSendRequest(p *sim.Proc, c sock.Conn, req *kvRequest) error {
+	if _, err := c.Write(p, kvHeaderBytes, req); err != nil {
 		return err
 	}
-	lp, ok := l.(sock.Pollable)
-	if !ok {
-		l.Close(p)
-		return fmt.Errorf("kv: listener %T is not pollable", l)
-	}
-	store := make(map[string]*kvResponse, cfg.Keys)
-	po := sock.NewPoller(p.Engine(), "kv.evented")
-	defer po.Close()
-	node.Tel.RegisterSource("poller", po.TelemetryStats)
-	po.Register(lp, sock.PollIn|sock.PollErr, nil)
-	accepted, finished := 0, 0
-	var loopErr error
-	closeConn := func(st *kvConnState) {
-		po.Deregister(st.c.(sock.Pollable))
-		st.c.Close(p)
-		finished++
-	}
-	serve := func(st *kvConnState) error {
-		resp := &kvResponse{}
-		switch st.req.Op {
-		case kvSet:
-			store[st.req.Key] = &kvResponse{OK: true, ValLen: st.req.ValLen, Val: st.req.Val}
-			resp.OK = true
-		case kvGet:
-			if v, ok := store[st.req.Key]; ok {
-				resp = v
-			}
-		}
-		if _, err := st.c.Write(p, kvHeaderBytes, resp); err != nil {
+	if body := req.bodyLen(); body > 0 {
+		if _, err := c.Write(p, body, nil); err != nil {
 			return err
 		}
-		if resp.ValLen > 0 {
-			if _, err := st.c.Write(p, resp.ValLen, nil); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
-	drain := func(st *kvConnState) {
-		for {
-			pc := st.c.(sock.Pollable)
-			if pc.PollState()&(sock.PollIn|sock.PollErr) == 0 {
-				return
-			}
-			n, objs, err := st.c.Read(p, st.remaining)
-			if err != nil || n == 0 {
-				closeConn(st)
-				return
-			}
-			st.remaining -= n
-			if st.phase == 0 {
-				for _, o := range objs {
-					if r, ok := o.(*kvRequest); ok {
-						st.req = r
-					}
-				}
-			}
-			if st.remaining > 0 {
-				continue
-			}
-			if st.phase == 0 {
-				if st.req == nil {
-					closeConn(st) // malformed framing
-					return
-				}
-				body := len(st.req.Key)
-				if st.req.Op == kvSet {
-					body += st.req.ValLen
-				}
-				if body > 0 {
-					st.phase, st.remaining = 1, body
-					continue
-				}
-			}
-			if err := serve(st); err != nil {
-				closeConn(st)
-				return
-			}
-			st.phase, st.remaining, st.req = 0, kvHeaderBytes, nil
+	return nil
+}
+
+// kvRecvRequest reads one framed request (header plus key and, for ops
+// that carry one, value body).
+func kvRecvRequest(p *sim.Proc, c sock.Conn) (*kvRequest, error) {
+	_, objs, err := sock.ReadFull(p, c, kvHeaderBytes)
+	if err != nil {
+		return nil, err
+	}
+	var req *kvRequest
+	for _, o := range objs {
+		if r, ok := o.(*kvRequest); ok {
+			req = r
 		}
 	}
-	for finished < totalConns && loopErr == nil {
-		for _, ev := range po.Wait(p, -1) {
-			if ev.Data == nil { // the listener
-				for accepted < totalConns && lp.PollState()&sock.PollIn != 0 {
-					c, err := l.Accept(p)
-					if err != nil {
-						loopErr = err
-						break
-					}
-					setNoDelay(c)
-					accepted++
-					st := &kvConnState{c: c, remaining: kvHeaderBytes}
-					po.Register(c.(sock.Pollable), sock.PollIn|sock.PollErr, st)
-				}
-				if accepted == totalConns {
-					po.Deregister(lp)
-				}
-				continue
-			}
-			drain(ev.Data.(*kvConnState))
+	if req == nil {
+		return nil, fmt.Errorf("kv: malformed request framing")
+	}
+	if body := req.bodyLen(); body > 0 {
+		if _, _, err := sock.ReadFull(p, c, body); err != nil {
+			return nil, err
 		}
 	}
-	l.Close(p)
-	return loopErr
+	return req, nil
+}
+
+// kvSendResponse writes one framed response with its value body.
+func kvSendResponse(p *sim.Proc, c sock.Conn, resp *kvResponse) error {
+	if _, err := c.Write(p, kvHeaderBytes, resp); err != nil {
+		return err
+	}
+	if resp.ValLen > 0 {
+		if _, err := c.Write(p, resp.ValLen, nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// kvRecvResponse reads one framed response: the header, then its value
+// body.
+func kvRecvResponse(p *sim.Proc, c sock.Conn) (*kvResponse, error) {
+	_, objs, err := sock.ReadFull(p, c, kvHeaderBytes)
+	if err != nil {
+		return nil, fmt.Errorf("kv: response header: %w", err)
+	}
+	resp := findKVResponse(objs)
+	if resp == nil {
+		return nil, fmt.Errorf("kv: malformed response")
+	}
+	if resp.ValLen > 0 {
+		if _, _, err := sock.ReadFull(p, c, resp.ValLen); err != nil {
+			return nil, err
+		}
+	}
+	return resp, nil
+}
+
+// findKVResponse pulls the response object out of a framed header read.
+func findKVResponse(objs []any) *kvResponse {
+	for _, o := range objs {
+		if r, ok := o.(*kvResponse); ok {
+			return r
+		}
+	}
+	return nil
 }
 
 // kvClient issues the configured mix over one persistent connection.
@@ -367,30 +298,12 @@ func kvClient(p *sim.Proc, cfg KVConfig, dial dialFn, id int, lat *telemetry.His
 			req.Val = "value-object"
 		}
 		start := p.Now()
-		body := len(req.Key)
-		if req.Op == kvSet {
-			body += req.ValLen
-		}
-		if _, err := c.Write(p, kvHeaderBytes, req); err != nil {
+		if err := kvSendRequest(p, c, req); err != nil {
 			return err
 		}
-		if body > 0 {
-			if _, err := c.Write(p, body, nil); err != nil {
-				return err
-			}
-		}
-		_, objs, err := sock.ReadFull(p, c, kvHeaderBytes)
-		if err != nil || len(objs) == 0 {
-			return fmt.Errorf("kv: response header: %w", err)
-		}
-		resp, ok := objs[0].(*kvResponse)
-		if !ok {
-			return fmt.Errorf("kv: malformed response")
-		}
-		if resp.ValLen > 0 {
-			if _, _, err := sock.ReadFull(p, c, resp.ValLen); err != nil {
-				return err
-			}
+		resp, err := kvRecvResponse(p, c)
+		if err != nil {
+			return err
 		}
 		if req.Op == kvSet {
 			written[key], last = true, key
@@ -416,18 +329,9 @@ func kvReadYourWrites(p *sim.Proc, cfg KVConfig, c sock.Conn, key string) error 
 	if err := kvSendRequest(p, c, &kvRequest{Op: kvGet, Key: key}); err != nil {
 		return err
 	}
-	_, objs, err := sock.ReadFull(p, c, kvHeaderBytes)
+	resp, err := kvRecvResponse(p, c)
 	if err != nil {
-		return fmt.Errorf("kv: read-your-writes header: %w", err)
-	}
-	resp := findKVResponse(objs)
-	if resp == nil {
-		return fmt.Errorf("kv: malformed read-your-writes response")
-	}
-	if resp.ValLen > 0 {
-		if _, _, err := sock.ReadFull(p, c, resp.ValLen); err != nil {
-			return err
-		}
+		return fmt.Errorf("kv: read-your-writes: %w", err)
 	}
 	if !resp.OK || resp.ValLen != cfg.ValueBytes {
 		return fmt.Errorf("kv: lost acknowledged write %q across restart", key)
@@ -448,13 +352,13 @@ func RunKVStore(c *cluster.Cluster, cfg KVConfig) KVResult {
 	if cfg.Replicate && !cfg.Sessions {
 		return KVResult{Err: fmt.Errorf("kv: Replicate requires Sessions")}
 	}
+	if cfg.Sessions && cfg.Workers > 0 {
+		return KVResult{Err: fmt.Errorf("kv: Sessions and Workers are incompatible")}
+	}
 	// Bounded histogram, not sim.Sample: the run can absorb an
 	// arbitrary number of operations without retaining one value each.
 	// Registered so the cluster telemetry snapshot carries it too.
 	lat := c.Nodes[0].Tel.Histogram("apps", "kv_latency_ns", telemetry.LatencyBounds())
-	if cfg.Sessions && (cfg.EventLoop || cfg.Workers > 0) {
-		return KVResult{Err: fmt.Errorf("kv: Sessions and EventLoop/Workers are incompatible")}
-	}
 	listen := netListen(c.Nodes[0])
 	if cfg.Sessions {
 		listen = sessionListen(c, 0, "kv")

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/sim"
+	"repro/internal/sock"
 )
 
 func TestKVStoreCompletesOverBothTransports(t *testing.T) {
@@ -62,5 +64,20 @@ func TestKVStoreNeedsEnoughNodes(t *testing.T) {
 	res := RunKVStore(cluster.NewTCP(2), DefaultKVConfig(64))
 	if res.Err == nil {
 		t.Fatal("3-client workload on a 2-node cluster should error")
+	}
+}
+
+// blankConn fills every Read but carries no framing object.
+type blankConn struct{ sock.Conn }
+
+func (blankConn) Read(p *sim.Proc, max int) (int, []any, error) { return max, nil, nil }
+
+func TestKVRecvResponseMalformed(t *testing.T) {
+	eng := sim.NewEngine()
+	var err error
+	eng.Spawn("client", func(p *sim.Proc) { _, err = kvRecvResponse(p, blankConn{}) })
+	eng.Run()
+	if err == nil || err.Error() != "kv: malformed response" {
+		t.Fatalf("err = %v, want kv: malformed response", err)
 	}
 }

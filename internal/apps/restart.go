@@ -27,22 +27,21 @@ func restartPlanned(c *cluster.Cluster) bool {
 	return c.Cfg.Faults.HasRestarts()
 }
 
-// beginResponse suspends flushing on a session connection so the
-// response about to be written commits before it hits the wire. No-op
-// on plain transport connections.
-func beginResponse(c sock.Conn) {
-	if s, ok := c.(*sock.Session); ok {
-		s.Cork()
+// corked runs write with flushing suspended on a session connection,
+// then commits the session's resume state and flushes, so the response
+// commits before any of it hits the wire. Plain transport connections
+// just write.
+func corked(p *sim.Proc, c sock.Conn, write func() error) error {
+	s, ok := c.(*sock.Session)
+	if !ok {
+		return write()
 	}
-}
-
-// commitResponse commits the session's resume state and flushes the
-// corked response. No-op on plain transport connections.
-func commitResponse(p *sim.Proc, c sock.Conn) error {
-	if s, ok := c.(*sock.Session); ok {
-		return s.Uncork(p)
+	s.Cork()
+	err := write()
+	if cerr := s.Uncork(p); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }
 
 // procMutex serializes simulated processes over a shared resource (the
@@ -94,12 +93,7 @@ func webBoot(c *cluster.Cluster, cfg WebConfig, errOut *error) func(p *sim.Proc)
 					if err != nil || n < webRequestBytes {
 						return // client closed, or the session detached
 					}
-					beginResponse(conn)
-					_, werr := conn.Write(hp, cfg.ResponseBytes, "response")
-					if cerr := commitResponse(hp, conn); werr == nil {
-						werr = cerr
-					}
-					if werr != nil {
+					if corked(hp, conn, func() error { return webRespond(hp, node, cfg, conn) }) != nil {
 						return
 					}
 				}
@@ -137,27 +131,17 @@ func kvBackupBoot(c *cluster.Cluster, cfg KVConfig, idx int, errOut *error) func
 					if err != nil {
 						return
 					}
+					var write func() error
 					switch req.Op {
 					case kvSet:
-						store[req.Key] = &kvResponse{OK: true, ValLen: req.ValLen, Val: req.Val}
-						beginResponse(conn)
-						werr := kvSendResponse(hp, conn, &kvResponse{OK: true})
-						if cerr := commitResponse(hp, conn); werr == nil {
-							werr = cerr
-						}
-						if werr != nil {
-							return
-						}
+						resp := kvApply(store, req)
+						write = func() error { return kvSendResponse(hp, conn, resp) }
 					case kvSyncReq:
-						beginResponse(conn)
-						werr := kvSendTable(hp, conn, store)
-						if cerr := commitResponse(hp, conn); werr == nil {
-							werr = cerr
-						}
-						if werr != nil {
-							return
-						}
+						write = func() error { return kvSendTable(hp, conn, store) }
 					default:
+						return
+					}
+					if corked(hp, conn, write) != nil {
 						return
 					}
 				}
@@ -213,106 +197,25 @@ func kvPrimaryBoot(c *cluster.Cluster, cfg KVConfig, backupIdx int, errOut *erro
 					if err != nil {
 						return
 					}
-					resp := &kvResponse{}
-					switch req.Op {
-					case kvSet:
-						store[req.Key] = &kvResponse{OK: true, ValLen: req.ValLen, Val: req.Val}
-						if repl != nil {
-							// Synchronous replication: the backup's ack
-							// must land before this response commits, or
-							// the write is not acknowledged at all.
-							if err := kvReplicate(hp, repl, replMu, req); err != nil {
-								return
-							}
-						}
-						resp.OK = true
-					case kvGet:
-						if v, ok := store[req.Key]; ok {
-							resp = v
-						}
-					default:
-						return
+					resp := kvApply(store, req)
+					if resp == nil {
+						return // unknown op
 					}
-					beginResponse(conn)
-					werr := kvSendResponse(hp, conn, resp)
-					if cerr := commitResponse(hp, conn); werr == nil {
-						werr = cerr
+					if req.Op == kvSet && repl != nil {
+						// Synchronous replication: the backup's ack must
+						// land before this response commits, or the write
+						// is not acknowledged at all.
+						if err := kvReplicate(hp, repl, replMu, req); err != nil {
+							return
+						}
 					}
-					if werr != nil {
+					if corked(hp, conn, func() error { return kvSendResponse(hp, conn, resp) }) != nil {
 						return
 					}
 				}
 			})
 		}
 	}
-}
-
-// kvRecvRequest reads one framed request (header plus key and, for ops
-// that carry one, value body).
-func kvRecvRequest(p *sim.Proc, c sock.Conn) (*kvRequest, error) {
-	_, objs, err := sock.ReadFull(p, c, kvHeaderBytes)
-	if err != nil {
-		return nil, err
-	}
-	var req *kvRequest
-	for _, o := range objs {
-		if r, ok := o.(*kvRequest); ok {
-			req = r
-		}
-	}
-	if req == nil {
-		return nil, fmt.Errorf("kv: malformed request framing")
-	}
-	body := len(req.Key)
-	if req.Op == kvSet || req.Op == kvSyncEnt {
-		body += req.ValLen
-	}
-	if body > 0 {
-		if _, _, err := sock.ReadFull(p, c, body); err != nil {
-			return nil, err
-		}
-	}
-	return req, nil
-}
-
-// kvSendRequest writes one framed request.
-func kvSendRequest(p *sim.Proc, c sock.Conn, req *kvRequest) error {
-	if _, err := c.Write(p, kvHeaderBytes, req); err != nil {
-		return err
-	}
-	body := len(req.Key)
-	if req.Op == kvSet || req.Op == kvSyncEnt {
-		body += req.ValLen
-	}
-	if body > 0 {
-		if _, err := c.Write(p, body, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// kvSendResponse writes one framed response with its value body.
-func kvSendResponse(p *sim.Proc, c sock.Conn, resp *kvResponse) error {
-	if _, err := c.Write(p, kvHeaderBytes, resp); err != nil {
-		return err
-	}
-	if resp.ValLen > 0 {
-		if _, err := c.Write(p, resp.ValLen, nil); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// findKVResponse pulls the response object out of a framed header read.
-func findKVResponse(objs []any) *kvResponse {
-	for _, o := range objs {
-		if r, ok := o.(*kvResponse); ok {
-			return r
-		}
-	}
-	return nil
 }
 
 // kvSendTable streams the replica's whole table: a bare summary header
@@ -375,11 +278,11 @@ func kvReplicate(p *sim.Proc, repl sock.Conn, mu *procMutex, req *kvRequest) err
 	if err := kvSendRequest(p, repl, fwd); err != nil {
 		return err
 	}
-	_, objs, err := sock.ReadFull(p, repl, kvHeaderBytes)
+	ack, err := kvRecvResponse(p, repl)
 	if err != nil {
 		return err
 	}
-	if ack := findKVResponse(objs); ack == nil || !ack.OK {
+	if !ack.OK {
 		return fmt.Errorf("kv: replica rejected set")
 	}
 	return nil

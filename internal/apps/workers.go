@@ -1,15 +1,14 @@
 // Worker-pool servers: N event-loop workers sharing one poller.
 //
-// The legacy servers come in two shapes — fork-per-connection (a
-// blocked process per client) and a single evented process multiplexing
-// everything. The pool is the SMP shape in between: K worker processes,
-// each pinned to a host core, all blocked in PollWaiter.Wait on one
-// shared poller. The poller delivers each readiness event to exactly
-// one worker (no thundering herd), the claimed connection stays masked
-// until the worker calls Done (so two workers never interleave reads on
-// one connection), and per-request ServiceTime is charged through the
-// host's core scheduler — which is what makes throughput scale with
-// cores until the cores run out.
+// The paper's servers fork a blocked handler process per client. The
+// pool is the SMP shape: K worker processes, each pinned to a host
+// core, all blocked in PollWaiter.Wait on one shared poller. The poller
+// delivers each readiness event to exactly one worker (no thundering
+// herd), the claimed connection stays masked until the worker calls
+// Done (so two workers never interleave reads on one connection), and
+// per-request ServiceTime is charged through the host's core scheduler
+// — which is what makes throughput scale with cores until the cores run
+// out.
 package apps
 
 import (
@@ -135,6 +134,25 @@ func newWorkerPool(p *sim.Proc, node *cluster.Node, label string, port, workers,
 	return &workerPool{node: node, po: po, l: l, lp: lp, total: total, workers: workers}, nil
 }
 
+// webConnState is one connection's progress through its keep-alive
+// request sequence.
+type webConnState struct {
+	c      sock.Conn
+	need   int // request bytes still unread for the in-flight request
+	served int // responses already sent on this connection
+}
+
+// kvConnState is one connection's framing state machine: phase 0
+// accumulates the request header (whose final byte carries the
+// kvRequest object), phase 1 accumulates the body. Requests may arrive
+// split across segments, and a worker must not block mid-request.
+type kvConnState struct {
+	c         sock.Conn
+	phase     int // 0 = header, 1 = body
+	remaining int
+	req       *kvRequest
+}
+
 // webServerWorkers is the worker-pool web server: cfg.Workers workers
 // over one shared poller, worker i pinned to core i%Cores, charging
 // cfg.ServiceTime of core-scheduled compute per request.
@@ -163,12 +181,7 @@ func webServerWorkers(p *sim.Proc, node *cluster.Node, cfg WebConfig, totalConns
 			if cfg.ServiceTime > 0 {
 				node.Host.ChargeComputeOn(wp, worker, cfg.ServiceTime)
 			}
-			if cfg.FileBacked {
-				err = serveFile(wp, node, st.c, "index.html")
-			} else {
-				_, err = st.c.Write(wp, cfg.ResponseBytes, "response")
-			}
-			if err != nil {
+			if webRespond(wp, node, cfg, st.c) != nil {
 				pool.closeConn(wp, st.c)
 				return false
 			}
@@ -183,8 +196,8 @@ func webServerWorkers(p *sim.Proc, node *cluster.Node, cfg WebConfig, totalConns
 	return pool.run(p, "web")
 }
 
-// kvServerWorkers is the worker-pool kvstore server, mirroring the
-// evented server's header/body state machine with per-operation
+// kvServerWorkers is the worker-pool kvstore server: a non-blocking
+// header/body state machine per connection, with per-operation
 // core-scheduled ServiceTime.
 func kvServerWorkers(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns int) error {
 	pool, err := newWorkerPool(p, node, "kv", cfg.Port, cfg.Workers, totalConns)
@@ -192,27 +205,6 @@ func kvServerWorkers(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns i
 		return err
 	}
 	store := make(map[string]*kvResponse, cfg.Keys)
-	serve := func(wp *sim.Proc, st *kvConnState) error {
-		resp := &kvResponse{}
-		switch st.req.Op {
-		case kvSet:
-			store[st.req.Key] = &kvResponse{OK: true, ValLen: st.req.ValLen, Val: st.req.Val}
-			resp.OK = true
-		case kvGet:
-			if v, ok := store[st.req.Key]; ok {
-				resp = v
-			}
-		}
-		if _, err := st.c.Write(wp, kvHeaderBytes, resp); err != nil {
-			return err
-		}
-		if resp.ValLen > 0 {
-			if _, err := st.c.Write(wp, resp.ValLen, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	pool.newConn = func(c sock.Conn) any { return &kvConnState{c: c, remaining: kvHeaderBytes} }
 	pool.drain = func(wp *sim.Proc, worker int, data any) bool {
 		st := data.(*kvConnState)
@@ -242,11 +234,7 @@ func kvServerWorkers(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns i
 					pool.closeConn(wp, st.c) // malformed framing
 					return false
 				}
-				body := len(st.req.Key)
-				if st.req.Op == kvSet {
-					body += st.req.ValLen
-				}
-				if body > 0 {
+				if body := st.req.bodyLen(); body > 0 {
 					st.phase, st.remaining = 1, body
 					continue
 				}
@@ -254,7 +242,8 @@ func kvServerWorkers(p *sim.Proc, node *cluster.Node, cfg KVConfig, totalConns i
 			if cfg.ServiceTime > 0 {
 				node.Host.ChargeComputeOn(wp, worker, cfg.ServiceTime)
 			}
-			if err := serve(wp, st); err != nil {
+			resp := kvApply(store, st.req)
+			if resp == nil || kvSendResponse(wp, st.c, resp) != nil {
 				pool.closeConn(wp, st.c)
 				return false
 			}
